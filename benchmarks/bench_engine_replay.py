@@ -1,19 +1,18 @@
 """End-to-end engine benchmarks: full failure replays at two scales.
 
-The Figure 1(c)-sized replay is the workload the incremental-allocator
-overhaul was sized against (docs/simulator.md): the quick-profile
-fabric under a single aggregation-switch failure at t=0, measured as
-one full fluid simulation (trace generation excluded — it is identical
-either way).  It now runs twice, once per challenger backend, so the
-artifact records the incremental → vectorized progression next to the
-pre-overhaul baseline.
+The Figure 1(c)-sized replay is the workload the engine overhauls were
+sized against (docs/simulator.md): the quick-profile fabric under a
+single aggregation-switch failure at t=0, measured as one full fluid
+simulation (trace generation excluded — it is identical either way).
+The ``current`` round is the engine's default (columnar) allocator;
+the artifact records it next to the pre-overhaul baseline and the
+deleted object-graph backend's last committed median.
 
 The *large* replay is a k=32 fabric (1,024 hosts, 512 edge switches)
 with a fail-and-repair storm in the middle — the warehouse-scale shape
-the vectorized columnar backend exists for.  At that size the
-per-component object-graph allocators spend tens of seconds per replay
-(reference medians below, captured on this container), so only the
-vectorized backend is re-timed on every run.
+the columnar allocator exists for.  At that size the scalar
+object-graph allocators spent tens of seconds per replay (reference
+medians below), so only the default allocator is re-timed.
 
 After a measured run each test read-modify-writes its own key of
 ``BENCH_engine.json`` at the repo root, so the acceptance bars stay
@@ -29,7 +28,7 @@ from pathlib import Path
 
 from repro.experiments.config import StudyConfig
 from repro.routing import GlobalOptimalRerouteRouter
-from repro.simulation import ENGINE_REV, FluidSimulation
+from repro.simulation import DEFAULT_ALLOCATOR, ENGINE_REV, FluidSimulation
 from repro.topology import FatTree
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_engine.json"
@@ -44,8 +43,8 @@ BASELINE = {
     "samples_s": [13.573, 13.597, 12.846, 12.562, 12.230],
 }
 
-#: The incremental backend's committed median at ENGINE_REV 2 (commit
-#: 78c3014) — the bar the vectorized backend is measured against.
+#: The deleted incremental (object-graph) backend's committed median at
+#: ENGINE_REV 2 (commit 78c3014).
 PR4_INCREMENTAL_MEDIAN_S = 4.789
 
 CONFIG = StudyConfig(
@@ -56,11 +55,11 @@ VICTIM = "A.0.1"
 LARGE_CONFIG = StudyConfig(
     k=32, hosts_per_edge=2, num_coflows=120, duration=4.0, seed=17
 )
-#: Object-graph backends on the large replay, one-shot medians captured
-#: on this container at ENGINE_REV 3 (same process, interleaved with
-#: the vectorized runs).  They are reference constants, not re-timed:
-#: at ~29 s per replay they do not fit the bench budget — which is the
-#: point of the columnar backend.
+#: Object-graph allocators on the large replay, one-shot medians
+#: captured at ENGINE_REV 3 (same process, interleaved with the
+#: vectorized runs).  They are reference constants, not re-timed: at
+#: ~29 s per replay they do not fit the bench budget — which is the
+#: point of the columnar allocator.
 LARGE_REFERENCE = {
     "engine_rev": 3,
     "incremental_median_s": 29.344,
@@ -81,7 +80,9 @@ def _scenario(config):
     return _SCENARIOS[config]
 
 
-def _replay(allocator):
+def _replay(allocator=None):
+    """One Fig-1(c) failure replay; ``allocator=None`` is the engine's
+    default, which is what users run."""
     tree, specs = _scenario(CONFIG)
     sim = FluidSimulation(
         tree,
@@ -94,14 +95,13 @@ def _replay(allocator):
     return sim.run()
 
 
-def _large_replay(allocator):
+def _large_replay():
     tree, specs = _scenario(LARGE_CONFIG)
     sim = FluidSimulation(
         tree,
         GlobalOptimalRerouteRouter(tree),
         specs,
         horizon=LARGE_CONFIG.horizon,
-        allocator=allocator,
     )
     sim.fail_node_at(1.0, VICTIM)
     sim.restore_node_at(3.0, VICTIM)
@@ -116,10 +116,10 @@ def _samples(benchmark):
     return sorted(stats.stats.data)
 
 
-def _round(allocator, samples):
+def _round(samples):
     return {
         "engine_rev": ENGINE_REV,
-        "allocator": allocator,
+        "allocator": DEFAULT_ALLOCATOR,
         "median_s": round(statistics.median(samples), 3),
         "samples_s": [round(s, 3) for s in samples],
     }
@@ -138,13 +138,18 @@ def _merge_bench(update):
     return payload
 
 
-def test_perf_fig1c_replay_incremental(benchmark):
-    result = benchmark.pedantic(_replay, args=("incremental",), rounds=3)
+def test_perf_fig1c_replay(benchmark):
+    """The default (columnar) allocator — the ``current`` round, and
+    the round ``check_engine.py`` gates."""
+    result = benchmark.pedantic(_replay, rounds=3)
     assert result.flows and all(r.completed for r in result.flows.values())
     samples = _samples(benchmark)
     if samples is None:
         return
-    current = _round("incremental", samples)
+    current = _round(samples)
+    current["speedup_vs_pr4_incremental"] = round(
+        PR4_INCREMENTAL_MEDIAN_S / current["median_s"], 2
+    )
     payload = _merge_bench(
         {
             "bench": "fig1c_replay",
@@ -159,31 +164,6 @@ def test_perf_fig1c_replay_incremental(benchmark):
         }
     )
     assert payload["speedup"] >= 2.0
-
-
-def test_perf_fig1c_replay_vectorized(benchmark):
-    """The columnar backend on the same replay, measured against the
-    incremental backend's committed ENGINE_REV-2 median."""
-    result = benchmark.pedantic(_replay, args=("vectorized",), rounds=3)
-    assert result.flows and all(r.completed for r in result.flows.values())
-    samples = _samples(benchmark)
-    if samples is None:
-        return
-    current = _round("vectorized", samples)
-    current["speedup_vs_pr4_incremental"] = round(
-        PR4_INCREMENTAL_MEDIAN_S / current["median_s"], 2
-    )
-    current["speedup_vs_rev1_baseline"] = round(
-        BASELINE["median_s"] / current["median_s"], 2
-    )
-    payload = _merge_bench({"vectorized": current})
-    # The container's clock speed drifts ±30% between sessions, so the
-    # hard bar is the same-run incremental round (timed minutes earlier
-    # in this very process), not an absolute constant; the committed
-    # cross-session speedups above are recorded for the record.
-    same_run = payload.get("current", {}).get("median_s")
-    if same_run:
-        assert same_run / current["median_s"] >= 2.5
     assert current["speedup_vs_pr4_incremental"] >= 2.0
 
 
@@ -194,20 +174,20 @@ def test_perf_fig1c_replay_oracle(benchmark):
     assert result.flows and all(r.completed for r in result.flows.values())
 
 
-def test_perf_large_replay_vectorized(benchmark):
-    """The k=32 warehouse-scale replay, vectorized backend only.
+def test_perf_large_replay(benchmark):
+    """The k=32 warehouse-scale replay, default allocator only.
 
-    The object-graph backends take ~29 s a replay here (see
-    ``LARGE_REFERENCE``); the bar is that the columnar backend clears
+    The object-graph allocators took ~29 s a replay here (see
+    ``LARGE_REFERENCE``); the bar is that the columnar allocator clears
     the same replay at least twice as fast as the better of them, which
     is what makes this scale routinely benchmarkable at all.
     """
-    result = benchmark.pedantic(_large_replay, args=("vectorized",), rounds=2)
+    result = benchmark.pedantic(_large_replay, rounds=2)
     assert result.flows and result.reallocations > len(result.flows)
     samples = _samples(benchmark)
     if samples is None:
         return
-    current = _round("vectorized", samples)
+    current = _round(samples)
     current["reference"] = LARGE_REFERENCE
     current["speedup_vs_incremental"] = round(
         LARGE_REFERENCE["incremental_median_s"] / current["median_s"], 2

@@ -58,24 +58,12 @@ def _dense_problem(num_flows: int, seed: int = 7):
 
 
 def test_perf_allocate_dense_large(benchmark):
-    """The engine's actual hot call: dense core + reused workspace (no
-    interning, no per-call array allocation — what a reallocation costs)."""
+    """The oracle engine's hot call: dense core + reused workspace (no
+    interning, no per-call array allocation — what an oracle
+    reallocation costs)."""
     pairs, caps = _dense_problem(2000)
     workspace = AllocatorWorkspace(len(caps))
     rates = benchmark(allocate_dense, pairs, caps, workspace)
-    assert len(rates) == 2000
-
-
-def test_perf_allocate_dense_single_component(benchmark):
-    """One dense component through the ``assume_connected`` fast path —
-    the shape the incremental engine feeds per dirty component."""
-    pairs, caps = _dense_problem(2000)
-    workspace = AllocatorWorkspace(len(caps))
-
-    def solve():
-        return allocate_dense(pairs, caps, workspace, assume_connected=True)
-
-    rates = benchmark(solve)
     assert len(rates) == 2000
 
 
@@ -103,8 +91,8 @@ def test_perf_allocate_dense_many_components(benchmark):
 
 
 def _columnar_problem(num_flows: int, seed: int = 7):
-    """The same instance again, packed the way the vectorized backend
-    holds it: padded segment matrix, capacity array, reused workspace,
+    """The same instance again, packed the way the engine's columnar
+    table holds it: padded segment matrix, capacity array, reused workspace,
     and the incrementally-maintained incidence."""
     pairs, caps = _dense_problem(num_flows, seed)
     caps_arr = np.asarray(caps, dtype=np.float64)
@@ -116,29 +104,22 @@ def _columnar_problem(num_flows: int, seed: int = 7):
 
 def test_perf_waterfill_large(benchmark):
     """The batched water-fill kernel alone on the 2000-flow instance —
-    the vectorized engine's per-reallocation cost floor."""
+    the engine's per-reallocation cost floor."""
     matrix, caps, workspace, incidence = _columnar_problem(2000)
     rates = benchmark(waterfill, matrix, caps, workspace, incidence)
     assert rates.shape[0] == 2000
 
 
-@pytest.mark.parametrize("backend", ["oracle", "incremental", "vectorized"])
+@pytest.mark.parametrize("backend", ["oracle", "vectorized"])
 def test_perf_reallocation_backend(benchmark, backend):
-    """One full reallocation of the 2000-flow instance per backend, in
-    exactly the shape each engine mode feeds its allocator: the oracle
-    re-interns from dicts, the incremental solves the dense pre-interned
-    problem with a reused workspace, the vectorized one runs the batched
-    kernel over the packed matrix.  All three produce bit-identical
-    rates; the spread between their rounds is the engine-mode tradeoff
-    quantified in docs/simulator.md."""
+    """One full reallocation of the 2000-flow instance per engine mode,
+    in exactly the shape each feeds its allocator: the oracle
+    re-interns from dicts, the vectorized one runs the batched kernel
+    over the packed matrix.  Both produce bit-identical rates; the
+    spread between their rounds is quantified in docs/simulator.md."""
     if backend == "oracle":
         flow_segments, capacities = _allocation_problem(2000)
         rates = benchmark(max_min_rates, flow_segments, capacities)
-        assert len(rates) == 2000
-    elif backend == "incremental":
-        pairs, caps = _dense_problem(2000)
-        workspace = AllocatorWorkspace(len(caps))
-        rates = benchmark(allocate_dense, pairs, caps, workspace)
         assert len(rates) == 2000
     else:
         matrix, caps, workspace, incidence = _columnar_problem(2000)

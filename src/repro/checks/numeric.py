@@ -1,12 +1,11 @@
 """Abstract interpretation of ``@kernel`` numeric code (NUM001–NUM004).
 
 The vectorized water-fill core (:mod:`repro.simulation.columnar`) is the
-engine's hottest path and the designated numba target (ROADMAP item 1).
-Its correctness claims are *numeric*: every array keeps the dtype the
-bit-identity proof assumes, every broadcast is intentional, no in-place
-pass mutates data another view of the same buffer later observes, and
-the whole kernel stays inside the ``nopython`` subset so the JIT swap
-is a no-op.  None of those properties is visible to a general linter;
+engine's hottest path.  Its correctness claims are *numeric*: every
+array keeps the dtype the bit-identity proof assumes, every broadcast
+is intentional, no in-place pass mutates data another view of the same
+buffer later observes, and the whole kernel stays inside the
+``nopython`` subset.  None of those properties is visible to a general linter;
 this module checks them statically, the same extract-then-judge way the
 concurrency analyzer (:mod:`repro.checks.concurrency`) polices the
 event loop.

@@ -3,9 +3,8 @@
 The vectorized allocator (:mod:`repro.simulation.columnar`) must stay
 *bit-identical* to the scalar reference solver
 (:mod:`repro.simulation.fairshare`) — that equivalence is the engine's
-whole correctness argument — and ROADMAP item 1 additionally reserves
-it for ``numba.njit`` compilation behind the ``[speed]`` extra.  Both
-claims are numeric, not syntactic, so a general linter cannot see them
+whole correctness argument — and its kernels are held to the
+``nopython`` subset.  Both claims are numeric, not syntactic, so a general linter cannot see them
 break.  These rules judge the facts the abstract interpreter
 (:mod:`repro.checks.numeric`) extracts per ``@kernel`` function:
 
@@ -153,11 +152,10 @@ class KernelNopythonUnsafe(_IssueRule):
     name = "kernel-nopython-unsafe"
     kind = "nopython"
     rationale = (
-        "@kernel marks a function as a numba nopython candidate "
-        "(ROADMAP item 1): dicts, try/except, closures, and untyped "
-        "Python calls all force an object-mode fallback, which is "
-        "slower than the interpreter and lands the day the [speed] "
-        "extra ships. Keep kernels on arrays, scalars, and other "
+        "@kernel marks a function as a numba nopython candidate: "
+        "dicts, try/except, closures, and untyped Python calls all "
+        "force an object-mode fallback, which is slower than the "
+        "interpreter. Keep kernels on arrays, scalars, and other "
         "kernels."
     )
     scope = _NUMERIC_SCOPE

@@ -1,13 +1,14 @@
 """Hot-path performance invariants in the fluid engine.
 
-The engine's event loop is *incremental* (``docs/simulator.md``): after
-an event, rate recomputation is confined to the dirty conflict-graph
-components, completions come off a projected-finish heap, and flow
+The engine's event loop does no per-flow Python sweep per event
+(``docs/simulator.md``): rate recomputation is one batched water-fill
+over a columnar table patched in place, only flows whose rate changed
+are touched, completions come off a projected-finish heap, and flow
 residuals are settled lazily.  The cheapest way to lose all of that is
 a helper that quietly sweeps ``self.active`` on every event — exactly
-the O(active)-per-event pattern the incremental overhaul removed.  This
-rule bans such sweeps inside :class:`FluidSimulation`, except in the
-small audited set of helpers whose *job* is the full view.
+the O(active)-per-event Python pattern the engine overhauls removed.
+This rule bans such sweeps inside :class:`FluidSimulation`, except in
+the small audited set of helpers whose *job* is the full view.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ class FullActiveSweep(Rule):
     code = "PERF001"
     name = "full-active-sweep"
     rationale = (
-        "The fluid engine recomputes rates only for dirty conflict "
-        "components; a loop over self.active inside FluidSimulation "
-        "reintroduces the O(active)-per-event scans the incremental "
-        "allocator removed, silently regressing trace-scale replays."
+        "The fluid engine recomputes rates in whole-array passes and "
+        "touches only flows whose rate changed; a loop over self.active "
+        "inside FluidSimulation reintroduces per-event O(active) Python "
+        "scans, silently regressing trace-scale replays."
     )
     scope = ("repro.simulation",)
 
@@ -77,7 +78,7 @@ class FullActiveSweep(Rule):
                     target,
                     f"iteration over self.active in FluidSimulation."
                     f"{func.name}(); per-event work must stay within the "
-                    "dirty conflict components (sanctioned full sweeps: "
+                    "changed flows (sanctioned full sweeps: "
                     f"{', '.join(sorted(_SANCTIONED))})",
                 )
 

@@ -1,11 +1,13 @@
-"""Structure-of-arrays core for the vectorized fluid-engine backend.
+"""Structure-of-arrays core of the fluid engine's production allocator.
 
-The incremental backend (PR 4) removed the per-event sweeps but still
-pays Python prices per flow: every reallocation builds ``(key, path)``
-pair lists, walks a heap, and boxes every rate.  At warehouse scale
-(k=32/48 fat-trees, hundreds of concurrent flows per event) those
-constants dominate.  This module keeps the *allocation problem itself*
-resident as numpy arrays between events:
+Per-flow Python work — building ``(key, path)`` pair lists, walking a
+heap, boxing every rate — dominates a reallocation once hundreds of
+flows are active, and on the replays the simulator serves (the Fig-1
+sweeps, k=32 failure storms) nearly every reallocation touches most of
+them.  This module therefore keeps the *allocation problem itself*
+resident as numpy arrays between events, and the engine re-solves it
+whole on every reallocation; the scalar solver in
+:mod:`repro.simulation.fairshare` survives only as the test oracle:
 
 ``FlowTable``
     The persistent problem: one row per allocatable flow, in arrival
@@ -181,7 +183,7 @@ def _waterfill_passes(
     share: np.ndarray,
     rates: np.ndarray,
 ) -> None:
-    """The ripe-pass loop over plain arrays — the JIT-candidate kernel.
+    """The ripe-pass loop over plain arrays — the hot kernel.
 
     ``remaining``/``counts`` arrive initialised (sentinel slot last,
     dead counts already clamped); ``share`` is scratch and ``rates`` is

@@ -1,11 +1,10 @@
 """The ``@kernel`` registry: declared numeric contracts for hot loops.
 
-ROADMAP item 1 reserves the ``[speed]`` extra for a numba-compiled
-water-fill kernel.  Before that JIT lands, the repo needs a *static*
-definition of "kernel-safe": which functions are candidates for
-``nopython`` compilation, what arrays they take, and what dtypes and
-shapes those arrays carry.  This module is that contract's runtime
-half; the static half is :mod:`repro.checks.numeric`, which parses the
+The water-fill's hot loops must keep the dtypes and shapes the
+bit-identity argument relies on.  This module gives them a *static*
+definition of "kernel-safe": which functions are kernels, what arrays
+they take, and what dtypes and shapes those arrays carry.  It is that
+contract's runtime half; the static half is :mod:`repro.checks.numeric`, which parses the
 decorator literally (no import, no execution) and abstractly interprets
 every registered kernel against its declared array specs.
 
@@ -26,8 +25,7 @@ across a kernel's arrays, so ``("rows", "width")`` against
 The decorator is deliberately inert at call time: it records the spec
 in :data:`KERNEL_REGISTRY`, stamps the function with
 ``__repro_kernel__``, and returns the function object unchanged — zero
-overhead on the hot path, and a single seam where the numba PR can
-later swap in ``numba.njit`` behind the ``[speed]`` extra.
+overhead on the hot path.
 
 The spec must be a *literal* (string/int/tuple/dict displays only): the
 lint pass reads it from the AST without importing the module, and a
@@ -69,8 +67,7 @@ class KernelSpec:
 
 #: ``module-level qualname -> spec`` for every registered kernel in the
 #: process.  The static analyzer never reads this (it parses decorator
-#: literals); it exists so tests and the future JIT wrapper can
-#: enumerate the kernel surface.
+#: literals); it exists so tests can enumerate the kernel surface.
 KERNEL_REGISTRY: dict[str, KernelSpec] = {}
 
 

@@ -8,12 +8,12 @@ implementation; experiments use it to report offered load, bottleneck
 hot spots, and concurrency (the quantity that bounds CCT slowdowns under
 max-min sharing — see EXPERIMENTS.md's Figure 1(c) discussion).
 
-The callback stream is part of the allocator backends' bit-identity
-contract: oracle, incremental, and vectorized engines must hand every
-monitor the same ``(now, flow_segments, rates)`` sequence, floats and
-all (``tests/test_engine_incremental.py`` captures and compares full
-streams three ways).  Monitors can therefore assume their statistics
-are backend-independent.
+The callback stream is part of the allocator's bit-identity contract:
+the vectorized engine and the scalar oracle must hand every monitor
+the same ``(now, flow_segments, rates)`` sequence, floats and all
+(``tests/test_engine_incremental.py`` captures and compares full
+streams).  Monitors can therefore assume their statistics are
+allocator-independent.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Oracle/incremental/vectorized equivalence and event-loop regressions.
+"""Vectorized-vs-oracle equivalence and event-loop regressions.
 
-The allocator backends' contract (``docs/simulator.md``) is exact: for
-any trace and failure schedule the incremental engine *and* the
-vectorized columnar engine must be *bit-identical* to the from-scratch
-oracle — same flow and coflow records, same event counts, and the same
-full rate map after every single reallocation.  These tests enforce
-that three-way contract on randomized workloads, through the
-Figure 1(c) experiment pipeline, and pin down the event-loop hazard the
-overhaul fixed (recursive completion draining blowing the stack on long
-same-instant chains).
+The engine's allocator contract (``docs/simulator.md``) is exact: for
+any trace and failure schedule the production engine — the columnar
+table, patched per event and re-solved by one batched water-fill —
+must be *bit-identical* to the scalar from-scratch oracle: same flow
+and coflow records, same event counts, and the same full rate map
+after every single reallocation.  These tests enforce that contract on
+randomized workloads, through the Figure 1(c) experiment pipeline, and
+pin down the event-loop hazard an earlier overhaul fixed (recursive
+completion draining blowing the stack on long same-instant chains).
 """
 
 import sys
@@ -78,7 +78,7 @@ def run_mode(trace, allocator, fail=None):
     return sim.run(), monitor
 
 
-CHALLENGER_ALLOCATORS = ("incremental", "vectorized")
+CHALLENGER_ALLOCATORS = ("vectorized",)
 
 
 def assert_bit_identical(trace, fail=None):
@@ -130,15 +130,55 @@ def test_challengers_match_oracle_unrepaired(trace, victim, t_fail):
         assert b_mon.events == a_mon.events, allocator
 
 
+def _one_flow_trace():
+    return [CoflowSpec(1, 0.0, (FlowSpec(1, 1, HOSTS[0], HOSTS[-1], 1e6),))]
+
+
 def test_unknown_allocator_rejected():
     tree = FatTree(4)
-    trace = [
-        CoflowSpec(1, 0.0, (FlowSpec(1, 1, HOSTS[0], HOSTS[-1], 1e6),))
-    ]
     with pytest.raises(ValueError, match="unknown allocator"):
         FluidSimulation(
-            tree, GlobalOptimalRerouteRouter(tree), trace, allocator="bogus"
+            tree,
+            GlobalOptimalRerouteRouter(tree),
+            _one_flow_trace(),
+            allocator="bogus",
         )
+
+
+def test_incremental_allocator_is_gone():
+    """The object-graph backend was deleted; asking for it by name must
+    fail loudly rather than silently fall back to another mode."""
+    tree = FatTree(4)
+    with pytest.raises(ValueError, match="unknown allocator 'incremental'"):
+        FluidSimulation(
+            tree,
+            GlobalOptimalRerouteRouter(tree),
+            _one_flow_trace(),
+            allocator="incremental",
+        )
+
+
+def test_default_allocator_runs_columnar_path(monkeypatch):
+    """An engine built without ``allocator=`` solves every reallocation
+    with the batched water-fill and never calls the scalar core."""
+    calls = {"waterfill": 0}
+    waterfill = engine_mod.columnar.waterfill
+
+    def counting_waterfill(*args, **kwargs):
+        calls["waterfill"] += 1
+        return waterfill(*args, **kwargs)
+
+    def no_scalar_core(*args, **kwargs):
+        raise AssertionError("the default engine reached the scalar oracle")
+
+    monkeypatch.setattr(engine_mod.columnar, "waterfill", counting_waterfill)
+    monkeypatch.setattr(engine_mod, "allocate_dense", no_scalar_core)
+    tree = FatTree(4)
+    sim = FluidSimulation(tree, GlobalOptimalRerouteRouter(tree), _one_flow_trace())
+    assert sim.allocator == "vectorized"
+    result = sim.run()
+    assert all(r.completed for r in result.flows.values())
+    assert calls["waterfill"] > 0
 
 
 def _stack_depth():
@@ -201,7 +241,7 @@ def _pipeline_payloads():
 
 
 def test_pipeline_results_identical_across_allocators(monkeypatch):
-    """Full experiment-pipeline A/B/C: every slowdown sample — including
+    """Full experiment-pipeline A/B: every slowdown sample — including
     the memoised clean baselines — must match exactly across modes."""
     outputs = {}
     for mode in ("oracle", *CHALLENGER_ALLOCATORS):
@@ -215,6 +255,5 @@ def test_pipeline_results_identical_across_allocators(monkeypatch):
         ]
     slowdown._rerouting_context.cache_clear()
     slowdown._sharebackup_context.cache_clear()
-    assert outputs["incremental"] == outputs["oracle"]
     assert outputs["vectorized"] == outputs["oracle"]
-    assert all(out["slowdowns"] for out in outputs["incremental"])
+    assert all(out["slowdowns"] for out in outputs["vectorized"])

@@ -4,13 +4,13 @@ The invariants run against the public :func:`max_min_rates` wrapper,
 which now sits on the dense array core (:func:`allocate_dense`), so
 feasibility / Pareto / fairness cover both layers.  The second half of
 the file pins down the array core's own contracts: wrapper/core
-bit-identity, component separability (the property the engine's
-incremental mode is built on), workspace reuse, and the
-``assume_connected`` fast path.  The final section holds the vectorized
+bit-identity, component separability (the property that lets the
+batched kernel solve the full problem and still match per-component
+solves), and workspace reuse.  The final section holds the vectorized
 columnar kernel (:mod:`repro.simulation.columnar`) to the same bar:
-scalar/batched bit-identity, CSR incidence round-trips against the
-object conflict graph, water-fill saturation invariants, and columnar
-workspace purity.
+scalar/batched bit-identity, the flow table's incremental incidence
+under random patch sequences, water-fill saturation invariants, and
+columnar workspace purity.
 """
 
 import hypothesis.strategies as st
@@ -25,7 +25,6 @@ from repro.simulation.columnar import (
     pack_paths,
     waterfill,
 )
-from repro.simulation.conflict import ConflictGraph
 from repro.simulation.fairshare import AllocatorWorkspace, FairShareError
 
 
@@ -190,7 +189,8 @@ def test_dense_core_matches_wrapper_bitwise(problem):
 @settings(max_examples=200, deadline=None)
 def test_component_separability_is_bitwise_exact(problem):
     """Solving each conflict component alone reproduces the full solve
-    bit-for-bit — the property the engine's incremental mode rests on."""
+    bit-for-bit — the property the batched kernel's full-table solve
+    rests on."""
     flow_segments, capacities = problem
     pairs, caps = intern(flow_segments, capacities)
     merged = allocate_dense(pairs, caps)
@@ -200,21 +200,6 @@ def test_component_separability_is_bitwise_exact(problem):
         comp_pairs = [(f, by_flow[f]) for f in comp]
         pieced.update(allocate_dense(comp_pairs, caps))
     assert pieced == merged
-
-
-@given(allocation_problems())
-@settings(max_examples=200, deadline=None)
-def test_assume_connected_matches_partitioned_solve(problem):
-    """Per single component, the assume_connected fast path (what the
-    engine uses) must agree with the partitioning path exactly."""
-    flow_segments, capacities = problem
-    pairs, caps = intern(flow_segments, capacities)
-    by_flow = dict(pairs)
-    for comp in components_of(flow_segments):
-        comp_pairs = [(f, by_flow[f]) for f in comp]
-        fast = allocate_dense(comp_pairs, caps, assume_connected=True)
-        general = allocate_dense(comp_pairs, caps)
-        assert fast == general
 
 
 @given(allocation_problems(), allocation_problems())
@@ -243,7 +228,7 @@ def test_workspace_survives_input_errors(problem):
 
 
 # ----------------------------------------------------------------------
-# columnar kernel contracts: bit-identity, CSR round-trip, saturation
+# columnar kernel contracts: bit-identity, table incidence, saturation
 # ----------------------------------------------------------------------
 
 
@@ -288,32 +273,70 @@ def test_waterfill_saturation_invariants(problem):
     assert np.all(padded[matrix].any(axis=1)), "a flow has slack on its path"
 
 
-@given(allocation_problems())
+@st.composite
+def table_operations(draw):
+    """A segment universe plus a random ``append``/``discard``/``rebuild``
+    sequence over fresh and resident flows (paths up to width 8, so
+    appends also exercise matrix widening past the default width)."""
+    num_segments = draw(st.integers(min_value=1, max_value=12))
+    paths = st.lists(
+        st.integers(min_value=0, max_value=num_segments - 1),
+        min_size=1,
+        max_size=min(8, num_segments),
+        unique=True,
+    ).map(tuple)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), paths),
+                st.tuples(
+                    st.just("discard"),
+                    st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+                ),
+                st.tuples(st.just("rebuild"), st.lists(paths, max_size=8)),
+            ),
+            max_size=30,
+        )
+    )
+    return num_segments, ops
+
+
+@given(table_operations())
 @settings(max_examples=200, deadline=None)
-def test_csr_incidence_roundtrip_vs_object_graph(problem):
-    """ConflictGraph.incidence_csr() and the columnar FlowTable agree:
-    same rows, same paths, same per-segment incidence counts."""
-    pairs, caps = intern(*problem)
-    num_segments = len(caps)
-    graph = ConflictGraph(num_segments)
+def test_flow_table_incidence_matches_bincount(case):
+    """After any sequence of appends, discards and rebuilds, the
+    incidence the table maintains incrementally equals a fresh
+    ``np.bincount`` over its segment matrix (sentinel slot included),
+    and the table's rows are exactly the live flows' paths in order."""
+    num_segments, ops = case
     table = FlowTable(num_segments)
-    for fid, path in pairs:
-        graph.place(fid, path)
-        table.append(fid, path)
-    flow_ids, indptr, indices = graph.incidence_csr()
-    # Row-by-row: the CSR slices round-trip the original paths, and the
-    # table's matrix rows match them (ignoring sentinel padding).
-    assert flow_ids.tolist() == [fid for fid, _ in pairs]
-    assert table.flow_ids[: len(table)].tolist() == [fid for fid, _ in pairs]
-    for row, (_, path) in enumerate(pairs):
-        assert tuple(indices[indptr[row] : indptr[row + 1]]) == path
-        matrix_row = table.seg_matrix[row]
-        assert tuple(matrix_row[matrix_row != num_segments]) == path
-    # Aggregate: bincount over the CSR indices equals the incidence the
-    # table maintains incrementally (real segments; the sentinel slot
-    # only counts padding).
-    csr_incidence = np.bincount(indices, minlength=num_segments)
-    assert np.array_equal(csr_incidence, table.incidence[:num_segments])
+    live = {}  # flow id -> path, in row order
+    next_fid = 0
+    for op, arg in ops:
+        if op == "append":
+            table.append(next_fid, arg)
+            live[next_fid] = arg
+            next_fid += 1
+        elif op == "discard":
+            table.discard(arg)
+            for fid in arg:
+                live.pop(fid, None)
+        else:
+            entries = []
+            for path in arg:
+                entries.append((next_fid, path, 0.0))
+                next_fid += 1
+            table.rebuild(entries)
+            live = {fid: path for fid, path, _ in entries}
+        expected = np.bincount(
+            table.seg_matrix.ravel(), minlength=num_segments + 1
+        )
+        assert np.array_equal(table.incidence, expected)
+        assert len(table) == len(live)
+        assert table.flow_ids[: len(table)].tolist() == list(live)
+        for row, path in enumerate(live.values()):
+            matrix_row = table.seg_matrix[row]
+            assert tuple(matrix_row[matrix_row != num_segments]) == path
 
 
 @given(allocation_problems(), allocation_problems())
