@@ -694,11 +694,9 @@ async def _smoke_http(args) -> dict:
         )[0]
         health = await _http(api, "GET", "/healthz")
         assert health["status"] == "ok", health
-        posted = await _http(
-            api, "POST", "/failures", {"kind": "node", "logical": victim}
-        )
-        assert posted.get("accepted"), posted
-        # The decision must surface on the live JSONL event stream.
+        # The decision must surface on the live JSONL event stream.  The
+        # bus is live-only, so attach (read the headers, which the API
+        # sends after subscribing) before posting the failure.
         reader, writer = await asyncio.open_connection(api.host, api.port)
         writer.write(b"GET /events HTTP/1.1\r\nHost: x\r\n\r\n")
         await writer.drain()
@@ -706,6 +704,10 @@ async def _smoke_http(args) -> dict:
             line = await asyncio.wait_for(reader.readline(), timeout=10.0)
             if line in (b"\r\n", b"\n", b""):
                 break
+        posted = await _http(
+            api, "POST", "/failures", {"kind": "node", "logical": victim}
+        )
+        assert posted.get("accepted"), posted
         stream_seq = None
         while stream_seq is None:
             line = await asyncio.wait_for(reader.readline(), timeout=10.0)

@@ -305,18 +305,22 @@ class ServiceAPI:
         await writer.drain()
 
     async def _stream_events(self, writer: asyncio.StreamWriter) -> None:
-        """The JSONL event stream: one JSON object per line, live."""
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Cache-Control: no-store\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        await writer.drain()
+        """The JSONL event stream: one JSON object per line, live.
+
+        Subscribes before sending the headers, so a client that has read
+        them sees every event published afterwards.
+        """
         subscription = self.service.bus.subscribe(
             maxsize=self.service.config.event_buffer
         )
         try:
+            writer.write(
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/x-ndjson\r\n"
+                b"Cache-Control: no-store\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            await writer.drain()
             async for event in subscription:
                 writer.write((json.dumps(event) + "\n").encode())
                 await writer.drain()

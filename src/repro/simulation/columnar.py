@@ -48,8 +48,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .kernels import kernel
-
 __all__ = ["ColumnarWorkspace", "FlowTable", "waterfill", "pack_paths"]
 
 _INF = float("inf")
@@ -78,11 +76,10 @@ class ColumnarWorkspace:
     def __init__(self, num_segments: int) -> None:
         self.num_segments = num_segments
         size = num_segments + 1
-        # Three independent buffers, deliberately *not* views of one
-        # fused block: the water-fill kernel's separability argument
-        # (and the NUM003 aliasing rule that polices it) requires that
-        # an in-place write to one vector can never be observed through
-        # a read of another.
+        # Three separate buffers, deliberately *not* views of one fused
+        # block, so that an in-place write to one vector is never seen
+        # through a read of another; the bit-identity properties in
+        # tests/test_fairshare_properties.py check this.
         self.remaining = np.empty(size, dtype=np.float64)
         self.counts = np.empty(size, dtype=np.float64)
         self.share = np.empty(size, dtype=np.float64)
@@ -167,15 +164,6 @@ def waterfill(
     return rates
 
 
-@kernel(
-    arrays={
-        "seg_matrix": ("int64", ("rows", "width")),
-        "remaining": ("float64", ("segments+1",)),
-        "counts": ("float64", ("segments+1",)),
-        "share": ("float64", ("segments+1",)),
-        "rates": ("float64", ("rows",)),
-    },
-)
 def _waterfill_passes(
     seg_matrix: np.ndarray,
     remaining: np.ndarray,
@@ -190,9 +178,7 @@ def _waterfill_passes(
     filled in place, one slot per row.  Everything object-shaped —
     workspace management, compaction, incidence bookkeeping — stays in
     :func:`waterfill`; this function touches nothing but the arrays it
-    is handed, which is what the ``@kernel`` contract (checked by
-    NUM001–NUM004, :mod:`repro.checks.numeric`) demands of a
-    ``nopython`` candidate.
+    is handed, so the float schedule depends on nothing else.
     """
     rows, width = seg_matrix.shape
     num_segments = remaining.shape[0] - 1
@@ -231,10 +217,6 @@ def _waterfill_passes(
         alive_rows = alive_rows[keep]
 
 
-@kernel(
-    arrays={"matrix": ("float64", ("rows", "width"))},
-    returns=("float64", ("rows",)),
-)
 def _column_min(matrix: np.ndarray) -> np.ndarray:
     """Column-unrolled row minimum: exact and order-free under IEEE-754.
 
@@ -250,18 +232,8 @@ def _column_min(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-@kernel(
-    arrays={"matrix": ("bool", ("rows", "width"))},
-    returns=("bool", ("rows",)),
-)
 def _column_any(matrix: np.ndarray) -> np.ndarray:
-    """Column-unrolled row logical-or, same unroll as :func:`_column_min`.
-
-    Specialised per ufunc (rather than taking the ufunc as a parameter)
-    so each kernel's call graph is closed over numpy and other kernels —
-    a call through a function-valued argument is exactly the untyped
-    dispatch NUM004 exists to keep out of ``nopython`` candidates.
-    """
+    """Column-unrolled row logical-or, same unroll as :func:`_column_min`."""
     out = matrix[:, 0].copy()
     for column in range(1, matrix.shape[1]):
         np.logical_or(out, matrix[:, column], out=out)

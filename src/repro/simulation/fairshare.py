@@ -66,8 +66,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 
-from .kernels import kernel
-
 __all__ = [
     "max_min_rates",
     "allocate_dense",
@@ -102,7 +100,6 @@ class AllocatorWorkspace:
         self.delta: list[float] = [0.0] * num_segments
 
 
-@kernel()
 def _solve_component(
     comp_segs: list[int],
     comp_flows: list[int],

@@ -10,15 +10,19 @@ solves), and workspace reuse.  The final section holds the vectorized
 columnar kernel (:mod:`repro.simulation.columnar`) to the same bar:
 scalar/batched bit-identity, the flow table's incremental incidence
 under random patch sequences, water-fill saturation invariants, and
-columnar workspace purity.
+columnar workspace purity.  The last test seeds known kernel bugs into
+a copy of the shipped columnar source and requires each to be caught.
 """
+
+import types
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.simulation import allocate_dense, max_min_rates
+from repro.simulation import allocate_dense, columnar, max_min_rates
 from repro.simulation.columnar import (
     ColumnarWorkspace,
     FlowTable,
@@ -360,3 +364,56 @@ def test_columnar_workspace_reuse_is_pure(problem_a, problem_b):
     second = waterfill(matrix_b, caps_arr, ws)
     assert np.array_equal(second, waterfill(matrix_b, caps_arr))
     assert np.array_equal(waterfill(matrix_a, caps_arr, ws), first)
+
+
+# ----------------------------------------------------------------------
+# seeded kernel bugs: each must raise or drift from the scalar oracle
+# ----------------------------------------------------------------------
+
+#: ``(anchor, replacement)`` edits of the shipped ``columnar.py``: a
+#: float32 share (dtype narrowing), a level compared without its
+#: broadcast axis (shape mismatch), and an un-copied column view that
+#: the in-place row minimum writes through (aliasing).
+KERNEL_MUTATIONS = {
+    "float32-share": (
+        "        np.divide(remaining, counts, out=share)",
+        "        share32 = np.empty(share.shape[0], dtype=np.float32)\n"
+        "        np.divide(remaining, counts, out=share32)\n"
+        "        share[:] = share32",
+    ),
+    "level-broadcast": (
+        "        tight = shares == level[:, None]",
+        "        tight = shares == level",
+    ),
+    "column-alias": (
+        "    out = matrix[:, 0].copy()",
+        "    out = matrix[:, 0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(KERNEL_MUTATIONS))
+def test_seeded_kernel_bugs_are_caught(mutation):
+    """A mutated water-fill either raises or differs bitwise from
+    allocate_dense on one fixed problem.  Four rows against width two
+    keep the broken broadcast from lining up by accident, capacities
+    off the float32 grid expose narrowing, and flow 0's first segment
+    is not its bottleneck, so an aliased column-0 write marks it tight."""
+    old, new = KERNEL_MUTATIONS[mutation]
+    source = Path(columnar.__file__).read_text(encoding="utf-8")
+    assert old in source, f"mutation anchor for {mutation} drifted"
+    mutated = types.ModuleType(f"columnar_{mutation}")
+    code = compile(source.replace(old, new), mutated.__name__, "exec")
+    exec(code, mutated.__dict__)
+
+    caps = [10.1, 1.3, 7.7]
+    pairs = list(enumerate([(0, 1), (0,), (2,), (0, 2)]))
+    matrix = pack_paths([path for _, path in pairs], len(caps))
+    dense = allocate_dense(pairs, caps)
+    expected = [dense[key] for key, _ in pairs]
+    assert list(waterfill(matrix, np.asarray(caps))) == expected
+    try:
+        rates = mutated.waterfill(matrix, np.asarray(caps))
+    except (ValueError, RuntimeError):
+        return
+    assert list(rates) != expected

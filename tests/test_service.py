@@ -468,8 +468,11 @@ class TestServiceAPI:
             )
             return slot, listed, metrics
 
+        # No heartbeats arrive, so every switch reads as silent on the
+        # first keep-alive scan; park the scan past the scenario timeout
+        # so the POST is the only source of decisions.
         slot, (status, listed), (mstatus, metrics) = self.run_with_api(
-            scenario
+            scenario, config=ServiceConfig(scan_interval=3600.0)
         )
         assert status == 200
         assert listed["total"] == 1
