@@ -159,9 +159,7 @@ class PermutationProbe:
     def _detection_index(self, path: Path) -> int:
         tree = self.tree
         for i, (a, b) in enumerate(zip(path.nodes, path.nodes[1:])):
-            if not tree.nodes[a].up or not tree.nodes[b].up:
-                return i
-            if not tree.operational_links_between(a, b):
+            if not tree.hop_is_operational(a, b):
                 return i
         return len(path.nodes) - 1
 

@@ -161,11 +161,6 @@ class ShareBackupNetwork:
         """Subclass hook to adjust per-layer provisioning before building
         (the AB variant zeroes the core layer's spares here)."""
 
-    def _layer3_core(self, pod: int, agg_index: int, j: int) -> int:
-        """Global core index reached from ``("up", j)`` of an aggregation
-        switch — row wiring in the fat-tree; subclasses reskew it."""
-        return agg_index * self.half + j
-
     def _build(self) -> None:
         for pod in range(self.k):
             self._build_pod(pod)
@@ -231,9 +226,8 @@ class ShareBackupNetwork:
             layer3.append(cs3.name)
             for a in range(h):
                 self._splice(cs3, ("d", a), aggs[a], ("up", j))
-                self._splice(
-                    cs3, ("u", a), core_name(self._layer3_core(pod, a, j)), ("pod", pod)
-                )
+                core = core_name(self.logical.core_of_pod(pod, a, j))
+                self._splice(cs3, ("u", a), core, ("pod", pod))
             for v in range(self.n_agg):
                 self._splice(cs3, ("d", h + v), backup_aggs[v], ("up", j))
             for v in range(self.n_core):
@@ -261,7 +255,10 @@ class ShareBackupNetwork:
     def _build_core_groups(self) -> None:
         h, k = self.half, self.k
         for j in range(h):
-            members = tuple(core_name(m * h + j) for m in range(h))
+            # The cores every pod's layer-3 circuit switch j carries.
+            members = tuple(
+                core_name(self.logical.core_of_pod(0, m, j)) for m in range(h)
+            )
             group = FailureGroup(
                 group_id=f"FG.core.{j}",
                 layer=GroupLayer.CORE,

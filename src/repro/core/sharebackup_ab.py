@@ -72,10 +72,6 @@ class ShareBackupABNetwork(ShareBackupNetwork):
         # sharing, and is deliberately not built.
         self.n_core = 0
 
-    def _layer3_core(self, pod: int, agg_index: int, j: int) -> int:
-        """Core reached from ``("up", j)`` of aggregation ``agg_index``."""
-        return self.logical.core_of_pod(pod, agg_index, j)
-
     def _build_core_groups(self) -> None:
         """Degenerate singleton groups: one per core, zero spares."""
         h = self.half
@@ -93,12 +89,6 @@ class ShareBackupABNetwork(ShareBackupNetwork):
                 else:
                     css.append(cs_name(3, pod, c // h))
             self._register_group(group, css)
-
-    # The base builder wires layer 3 via core_name(a*h + j); rewiring per
-    # pod type needs a hook, so we override _build_pod's layer-3 splice by
-    # re-implementing only the core-index computation.  To avoid copying
-    # the whole builder, the base class is adjusted to call
-    # self._layer3_core (see sharebackup.py).
 
     @property
     def protected_layers(self) -> tuple[str, ...]:

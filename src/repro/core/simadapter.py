@@ -153,8 +153,12 @@ class ShareBackupSimulation:
                     device,
                     ("down", agg_downlink_interface(node.index, far_node.index, half)),
                 )
-            # Aggregation a reaches core a*half + j on up-interface j.
-            return (device, ("up", far_node.index % half))
+            port = next(
+                j
+                for j in range(half)
+                if tree.core_of_pod(node.pod, node.index, j) == far_node.index
+            )
+            return (device, ("up", port))
         # Core side: interface is indexed by the far pod.
         return (device, ("pod", far_node.pod))
 

@@ -8,7 +8,7 @@ replaced) lives in :mod:`repro.core` with the rest of the contribution.
 from .base import LookupMiss, Packet, PrefixEntry, RoutingTable, SuffixEntry
 from .ecmp import EcmpSelector, flow_hash
 from .fallback import FallbackRouter
-from .paths import DirectedSegment, Path, enumerate_paths, operational_paths
+from .paths import DirectedSegment, Path, enumerate_paths
 from .reroute_f10 import F10LocalRerouteRouter
 from .reroute_global import GlobalOptimalRerouteRouter
 from .router import LoadMap, Router
@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_paths",
     "flow_hash",
     "host_port",
-    "operational_paths",
     "pod_port",
     "up_port",
 ]

@@ -7,15 +7,17 @@ use CRC32 for the hash — deterministic across runs (unlike ``hash()``,
 which Python salts per process), uniform enough for load spreading, and
 cheap.
 
-``EcmpSelector`` chooses among *enumerated* equal-cost paths, which is
-equivalent to consistent per-hop hashing on a symmetric Clos and keeps
-the flow→path pinning explicit for the simulator.
+``EcmpSelector`` hashes into the name-ordered candidate list of
+:func:`~repro.routing.paths.enumerate_edge_paths`, which is equivalent to
+consistent per-hop hashing on a symmetric Clos and keeps the flow→path
+pinning explicit for the simulator.  Candidates are derived afresh from
+the wiring and the current failure state on every call, so there is no
+cache to invalidate when the topology changes.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections.abc import Sequence
 
 from ..topology.fattree import FatTree
 from .paths import Path, enumerate_edge_paths
@@ -30,45 +32,17 @@ def flow_hash(*parts: object) -> int:
 
 
 class EcmpSelector:
-    """Pins flows to equal-cost paths by five-tuple hash.
-
-    The selector caches path enumerations per (src rack, dst rack) pair —
-    path sets in a fat-tree only depend on rack locations, not on the
-    individual host — which keeps large trace replays fast.  Caches are
-    invalidated wholesale on topology failure changes via
-    :meth:`invalidate` (the cache keys include no failure state).
-    """
+    """Pins flows to equal-cost paths by five-tuple hash."""
 
     def __init__(self, tree: FatTree) -> None:
         self.tree = tree
-        self._cache: dict[tuple[str, str, bool], list[tuple[str, ...]]] = {}
-
-    def _middles(
-        self, src_edge: str, dst_edge: str, operational_only: bool
-    ) -> list[tuple[str, ...]]:
-        key = (src_edge, dst_edge, operational_only)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = enumerate_edge_paths(
-                self.tree, src_edge, dst_edge, operational_only=operational_only
-            )
-            self._cache[key] = cached
-        return cached
 
     def paths(
         self, src_host: str, dst_host: str, operational_only: bool = False
     ) -> list[Path]:
-        """All equal-cost paths, cached at edge-pair granularity."""
-        src_edge = self.tree.edge_of_host(src_host)
-        dst_edge = self.tree.edge_of_host(dst_host)
-        if operational_only and not self._host_links_ok(
-            src_host, src_edge, dst_host, dst_edge
-        ):
-            return []
-        return [
-            Path((src_host,) + middle + (dst_host,))
-            for middle in self._middles(src_edge, dst_edge, operational_only)
-        ]
+        """All equal-cost paths between two hosts, in name order."""
+        middles = self._candidates(src_host, dst_host, operational_only)
+        return [Path((src_host,) + middle + (dst_host,)) for middle in middles]
 
     def select(
         self,
@@ -77,41 +51,22 @@ class EcmpSelector:
         flow_label: int,
         operational_only: bool = False,
     ) -> Path | None:
-        """The ECMP choice for one flow, or ``None`` if no path survives.
-
-        Only the selected path object is materialised — candidate sets
-        are shared per edge pair, which is what keeps trace-scale ECMP
-        pinning fast.
-        """
-        src_edge = self.tree.edge_of_host(src_host)
-        dst_edge = self.tree.edge_of_host(dst_host)
-        if operational_only and not self._host_links_ok(
-            src_host, src_edge, dst_host, dst_edge
-        ):
-            return None
-        middles = self._middles(src_edge, dst_edge, operational_only)
+        """The ECMP choice for one flow, or ``None`` if no path survives."""
+        middles = self._candidates(src_host, dst_host, operational_only)
         if not middles:
             return None
         index = flow_hash(src_host, dst_host, flow_label) % len(middles)
         return Path((src_host,) + middles[index] + (dst_host,))
 
-    def _host_links_ok(
-        self, src_host: str, src_edge: str, dst_host: str, dst_edge: str
-    ) -> bool:
-        return bool(
-            self.tree.operational_links_between(src_host, src_edge)
-            and self.tree.operational_links_between(dst_host, dst_edge)
-        )
-
-    @staticmethod
-    def select_from(candidates: Sequence[Path], flow_label: int) -> Path | None:
-        """Hash-pick from an explicit candidate list (used by rerouting)."""
-        if not candidates:
-            return None
-        return candidates[flow_hash("re", flow_label) % len(candidates)]
-
-    def invalidate(self) -> None:
-        """Drop cached operational path sets (call after failure changes)."""
-        self._cache = {
-            key: paths for key, paths in self._cache.items() if not key[2]
-        }
+    def _candidates(
+        self, src_host: str, dst_host: str, operational_only: bool
+    ) -> list[tuple[str, ...]]:
+        tree = self.tree
+        src_edge = tree.edge_of_host(src_host)
+        dst_edge = tree.edge_of_host(dst_host)
+        if operational_only and not (
+            tree.hop_is_operational(src_host, src_edge)
+            and tree.hop_is_operational(dst_host, dst_edge)
+        ):
+            return []
+        return enumerate_edge_paths(tree, src_edge, dst_edge, operational_only)

@@ -69,7 +69,3 @@ class FallbackRouter(Router):
         return self._static.repath(
             src_host, dst_host, flow_label, old_path, link_load
         )
-
-    def on_topology_change(self) -> None:
-        self._static.on_topology_change()
-        self._reroute.on_topology_change()

@@ -1,18 +1,25 @@
-"""Up/down path enumeration for folded-Clos topologies.
+"""The closed-form shortest-path model of a k-ary fat tree.
 
-Fat-tree, F10's AB fat-tree, and the Aspen variant are all folded Clos
+Fat-tree, F10's AB fat-tree and the Aspen variant are all folded Clos
 networks: every host-to-host route climbs to the lowest common level and
-descends, so the complete set of shortest paths can be enumerated
-structurally instead of by graph search:
+descends, so the shortest paths have a fixed shape:
 
 * same edge switch:          ``H → E → H'``                      (2 hops)
 * same pod, different edge:  ``H → E → A → E' → H'``             (4 hops)
 * different pods:            ``H → E → A → C → A' → E' → H'``    (6 hops)
 
-Enumeration walks the *adjacency* of the concrete topology rather than
-closed-form index arithmetic, so it automatically honours F10's skewed
-wiring and Aspen's reduced parent sets, and it can be restricted to
-operational elements for post-failure path sets.
+Within a pod there is one path per aggregation index ``i``.  Between
+pods ``p`` and ``q`` there is one per ``(i, core)`` pair, where the cores
+are those :meth:`~repro.topology.fattree.FatTree.core_of_pod` wires to
+aggregation ``i`` of ``p`` and ``A'`` is the one aggregation of ``q`` that
+:meth:`~repro.topology.fattree.FatTree.agg_of_core` names.  Those two
+accessors are the only encoding of agg→core wiring, so F10's skew and
+Aspen's duplicated parents need no code here.  With ``operational_only``
+each hop is tested with :meth:`~repro.topology.base.Topology.hop_is_operational`.
+
+Candidates come in *name* order: aggregation indices and cores sorted as
+strings, so ``A.0.10`` precedes ``A.0.2`` and ``C.10`` precedes ``C.8``.
+ECMP hashes into this list, so the order is part of every pinned route.
 
 Paths also carry their *directed segment* view — the per-direction link
 capacities the fluid simulator allocates bandwidth over.  Directions
@@ -22,17 +29,15 @@ matter: a full-duplex link congested host-bound may be idle core-bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
-from ..topology.base import NodeKind, Topology
-from ..topology.fattree import FatTree
+from ..topology.base import Topology
+from ..topology.fattree import FatTree, agg_name, core_name
 
 __all__ = [
     "Path",
     "DirectedSegment",
     "enumerate_paths",
     "enumerate_edge_paths",
-    "operational_paths",
 ]
 
 
@@ -116,101 +121,11 @@ class Path:
             segs.append(DirectedSegment(link.link_id, forward=(link.a == a)))
         return tuple(segs)
 
-    def uses_node(self, name: str) -> bool:
-        return name in self.nodes
-
-    def uses_link(self, topo: Topology, link_id: int) -> bool:
-        link = topo.links[link_id]
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if {a, b} == {link.a, link.b}:
-                # Only true if this hop would actually pick that link
-                # (relevant with parallel links).
-                chosen = self.segments(topo)
-                return any(s.link_id == link_id for s in chosen)
-        return False
-
     def is_operational(self, topo: Topology) -> bool:
         return topo.path_is_operational(self.nodes)
 
     def __repr__(self) -> str:
         return "Path(" + " > ".join(self.nodes) + ")"
-
-
-class _TopoMemo:
-    """Per-topology memo for the neighbour/hop queries path enumeration
-    hammers.
-
-    Large replays call :func:`enumerate_edge_paths` once per flow
-    arrival (the per-edge-pair ECMP cache stops hitting once there are
-    hundreds of edge switches), and each enumeration re-derives the
-    same operational neighbour sets hundreds of times — at k=32 that
-    was ~390k :func:`_up_switches` evaluations walking 12.7M adjacency
-    entries for ~1.3k distinct keys.  Memoising per query key collapses
-    that, and because the memo only caches (it never reorders), the
-    enumerated path lists — and therefore every replay decision
-    downstream — are byte-for-byte what the uncached walk produces.
-
-    Invalidation is by :attr:`~repro.topology.base.Topology.state_rev`
-    comparison: any construction or failure-state mutation bumps the
-    revision and the next query starts a fresh memo.  Entries are held
-    via a ``WeakKeyDictionary`` so caching never extends a topology's
-    lifetime.
-    """
-
-    __slots__ = ("rev", "up", "all", "hop")
-
-    def __init__(self, rev: int) -> None:
-        self.rev = rev
-        self.up: dict[tuple[str, NodeKind], list[str]] = {}
-        self.all: dict[tuple[str, NodeKind], list[str]] = {}
-        self.hop: dict[tuple[str, str], bool] = {}
-
-
-_MEMOS: WeakKeyDictionary[Topology, _TopoMemo] = WeakKeyDictionary()
-
-
-def _memo_for(topo: Topology) -> _TopoMemo:
-    rev = topo.state_rev
-    memo = _MEMOS.get(topo)
-    if memo is None or memo.rev != rev:
-        memo = _TopoMemo(rev)
-        _MEMOS[topo] = memo
-    return memo
-
-
-def _up_switches(topo: Topology, name: str, kind: NodeKind) -> list[str]:
-    """Operational neighbours of ``name`` having ``kind``, sorted."""
-    memo = _memo_for(topo).up
-    key = (name, kind)
-    hit = memo.get(key)
-    if hit is None:
-        hit = sorted(
-            {
-                other
-                for other, _link in topo.up_neighbors(name)
-                if topo.nodes[other].kind is kind
-                and not topo.nodes[other].is_backup
-            }
-        )
-        memo[key] = hit
-    return hit
-
-
-def _all_switch_neighbors(topo: Topology, name: str, kind: NodeKind) -> list[str]:
-    memo = _memo_for(topo).all
-    key = (name, kind)
-    hit = memo.get(key)
-    if hit is None:
-        hit = sorted(
-            {
-                other
-                for other in topo.neighbors(name)
-                if topo.nodes[other].kind is kind
-                and not topo.nodes[other].is_backup
-            }
-        )
-        memo[key] = hit
-    return hit
 
 
 def enumerate_edge_paths(
@@ -219,37 +134,38 @@ def enumerate_edge_paths(
     dst_edge: str,
     operational_only: bool = False,
 ) -> list[tuple[str, ...]]:
-    """All shortest switch-level sequences from ``src_edge`` to ``dst_edge``.
+    """All shortest switch-level sequences from ``src_edge`` to ``dst_edge``,
+    in name order.
 
-    These are the host-independent middles of host-to-host paths; ECMP
-    caches them per edge pair because every host pair behind the same two
-    edges shares the same candidate set.
+    These are the host-independent middles of host-to-host paths: every
+    host pair behind the same two edges shares the same candidate set.
     """
     if src_edge == dst_edge:
         return [(src_edge,)]
-    neigh = _up_switches if operational_only else _all_switch_neighbors
+    live = tree.hop_is_operational if operational_only else None
     src_pod = tree.nodes[src_edge].pod
     dst_pod = tree.nodes[dst_edge].pod
+    ports = range(tree.half)
+    # The last hop depends only on the destination aggregation index.
+    dst_aggs = [agg_name(dst_pod, j) for j in ports]
+    down_ok = [live is None or live(agg, dst_edge) for agg in dst_aggs]
     middles: list[tuple[str, ...]] = []
-
-    if src_pod == dst_pod:
-        for agg in neigh(tree, src_edge, NodeKind.AGGREGATION):
-            if operational_only and not _hop_ok(tree, agg, dst_edge):
-                continue
-            if dst_edge in tree.neighbors(agg):
+    for i in sorted(ports, key=str):
+        agg = agg_name(src_pod, i)
+        if live is not None and not live(src_edge, agg):
+            continue
+        if src_pod == dst_pod:
+            if down_ok[i]:
                 middles.append((src_edge, agg, dst_edge))
-        return middles
-
-    for agg in neigh(tree, src_edge, NodeKind.AGGREGATION):
-        for core in neigh(tree, agg, NodeKind.CORE):
-            for dst_agg in neigh(tree, core, NodeKind.AGGREGATION):
-                if tree.nodes[dst_agg].pod != dst_pod:
-                    continue
-                if dst_edge not in tree.neighbors(dst_agg):
-                    continue
-                if operational_only and not _hop_ok(tree, dst_agg, dst_edge):
-                    continue
-                middles.append((src_edge, agg, core, dst_agg, dst_edge))
+            continue
+        cores = {tree.core_of_pod(src_pod, i, port) for port in ports}
+        for c in sorted(cores, key=str):
+            j = tree.agg_of_core(c, dst_pod)
+            if not down_ok[j]:
+                continue
+            core = core_name(c)
+            if live is None or (live(agg, core) and live(core, dst_aggs[j])):
+                middles.append((src_edge, agg, core, dst_aggs[j], dst_edge))
     return middles
 
 
@@ -270,24 +186,10 @@ def enumerate_paths(
         raise ValueError("source and destination host are identical")
     src_edge = tree.edge_of_host(src_host)
     dst_edge = tree.edge_of_host(dst_host)
-    if operational_only and not _hop_ok(tree, src_host, src_edge):
-        return []
-    if operational_only and not _hop_ok(tree, dst_host, dst_edge):
+    if operational_only and not (
+        tree.hop_is_operational(src_host, src_edge)
+        and tree.hop_is_operational(dst_host, dst_edge)
+    ):
         return []
     middles = enumerate_edge_paths(tree, src_edge, dst_edge, operational_only)
     return [Path((src_host,) + middle + (dst_host,)) for middle in middles]
-
-
-def _hop_ok(topo: Topology, a: str, b: str) -> bool:
-    memo = _memo_for(topo).hop
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is None:
-        hit = bool(topo.operational_links_between(a, b))
-        memo[key] = hit
-    return hit
-
-
-def operational_paths(tree: FatTree, src_host: str, dst_host: str) -> list[Path]:
-    """Shortest operational paths; convenience wrapper."""
-    return enumerate_paths(tree, src_host, dst_host, operational_only=True)

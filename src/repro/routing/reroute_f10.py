@@ -104,9 +104,6 @@ class F10LocalRerouteRouter(Router):
             src_host, dst_host, flow_label, operational_only=True
         )
 
-    def on_topology_change(self) -> None:
-        self.selector.invalidate()
-
     # ------------------------------------------------------------------
     # detour construction
     # ------------------------------------------------------------------
@@ -124,11 +121,10 @@ class F10LocalRerouteRouter(Router):
         src_host, src_edge = nodes[0], nodes[1]
         dst_host, dst_edge = nodes[-1], nodes[-2]
         # Unrecoverable endpoints.
-        if not tree.nodes[src_edge].up or not tree.nodes[dst_edge].up:
-            return None
-        if not self._hop_ok(src_host, src_edge):
-            return None
-        if not self._hop_ok(dst_edge, dst_host):
+        if not (
+            tree.hop_is_operational(src_host, src_edge)
+            and tree.hop_is_operational(dst_edge, dst_host)
+        ):
             return None
 
         if len(nodes) == 5:  # intra-pod: H E A E' H'
@@ -247,9 +243,6 @@ class F10LocalRerouteRouter(Router):
                 return path
         return None
 
-    def _hop_ok(self, a: str, b: str) -> bool:
-        return bool(self.tree.operational_links_between(a, b))
-
     def _live_aggs(
         self, edge_a: str, edge_b: str, exclude: set[str] = frozenset()
     ) -> list[str]:
@@ -262,7 +255,7 @@ class F10LocalRerouteRouter(Router):
                 continue
             if other in exclude:
                 continue
-            if self._hop_ok(other, edge_b):
+            if tree.hop_is_operational(other, edge_b):
                 out.append(other)
         return sorted(set(out))
 
@@ -340,8 +333,6 @@ class F10LocalRerouteRouter(Router):
         """Index ``i`` of the first non-operational hop ``nodes[i]→nodes[i+1]``."""
         tree = self.tree
         for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            if not tree.nodes[a].up or not tree.nodes[b].up:
-                return i
-            if not self._hop_ok(a, b):
+            if not tree.hop_is_operational(a, b):
                 return i
         return None

@@ -68,6 +68,3 @@ class GlobalOptimalRerouteRouter(Router):
             if best_key is None or key < best_key:
                 best, best_key = path, key
         return best
-
-    def on_topology_change(self) -> None:
-        self.selector.invalidate()

@@ -50,4 +50,5 @@ class Router(ABC):
 
     def on_topology_change(self) -> None:
         """Hook invoked by the simulator after failures/repairs change the
-        operational topology (default: nothing to invalidate)."""
+        operational topology.  The built-in routers derive paths from the
+        live topology on every call, so they keep nothing to refresh."""

@@ -49,6 +49,3 @@ class StaticEcmpRouter(Router):
         if pin is not None and pin.is_operational(self.tree):
             return pin
         return None  # stalled until repair restores the pinned path
-
-    def on_topology_change(self) -> None:
-        self.selector.invalidate()

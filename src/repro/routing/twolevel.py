@@ -153,18 +153,12 @@ class TwoLevelRouting:
             if port.startswith("down"):
                 return f"E.{pod}.{int(port[4:])}"
             if port.startswith("up"):
-                return f"C.{self._core_of(pod, i, int(port[2:]))}"
+                return f"C.{self.tree.core_of_pod(pod, i, int(port[2:]))}"
         elif kind == "core":
             if port.startswith("pod"):
                 p = int(port[3:])
                 return f"A.{p}.{self.tree.agg_of_core(node.index, p)}"
         raise ValueError(f"cannot resolve port {port!r} on {switch!r}")
-
-    def _core_of(self, pod: int, agg_index: int, port: int) -> int:
-        core_of_pod = getattr(self.tree, "core_of_pod", None)
-        if core_of_pod is not None:  # F10's pod-type-aware wiring
-            return core_of_pod(pod, agg_index, port)
-        return self.tree.core_of(agg_index, port)
 
     # ------------------------------------------------------------------
 

@@ -56,7 +56,7 @@ class AspenTree(FatTree):
             name=name or f"aspen-k{k}",
         )
 
-    def core_of(self, agg_index: int, port: int) -> int:
+    def core_of_pod(self, pod: int, agg_index: int, port: int) -> int:
         # Port 2j and 2j+1 both reach core i*(k/2) + 2j: every kept core
         # gets a duplicated (parallel) link, every odd core of the row is
         # dropped from this aggregation switch's parent set.
@@ -64,8 +64,10 @@ class AspenTree(FatTree):
 
     def duplicated_cores(self, agg_index: int) -> list[int]:
         """Cores that aggregation switch ``agg_index`` reaches (each twice)."""
-        return [agg_index * self.half + 2 * j for j in range(self.half // 2)]
+        return sorted(
+            {self.core_of_pod(0, agg_index, port) for port in range(self.half)}
+        )
 
     def is_attached_core(self, core_index: int) -> bool:
         """True if the core is in the served (even-column) half of its row."""
-        return core_index % 2 == 0
+        return core_index in self.duplicated_cores(self.agg_of_core(core_index, 0))

@@ -17,7 +17,7 @@ wrapper over ``networkx``:
 
 A :class:`Topology` can be exported to a ``networkx.Graph`` for generic
 algorithms (connectivity checks in tests, for example), but the hot paths
-— path enumeration and bandwidth allocation — operate on the explicit
+— hop liveness and bandwidth allocation — operate on the explicit
 adjacency structures kept here.
 """
 
@@ -197,18 +197,6 @@ class Topology:
         self.links: dict[int, Link] = {}
         self._adj: dict[str, dict[str, set[int]]] = {}
         self._link_ids = itertools.count()
-        self._state_rev = 0
-
-    @property
-    def state_rev(self) -> int:
-        """Monotone counter bumped by every mutation that can change
-        reachability — construction (add/remove) and failure state.
-
-        Per-topology caches (path enumeration memoises operational
-        neighbour sets against this) compare revisions instead of
-        subscribing to events: a stale revision means recompute.
-        """
-        return self._state_rev
 
     # ------------------------------------------------------------------
     # construction
@@ -220,7 +208,6 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
         self._adj[node.name] = {}
-        self._state_rev += 1
         return node
 
     def add_link(
@@ -243,7 +230,6 @@ class Topology:
         self.links[link.link_id] = link
         self._adj[a].setdefault(b, set()).add(link.link_id)
         self._adj[b].setdefault(a, set()).add(link.link_id)
-        self._state_rev += 1
         return link
 
     def remove_link(self, link_id: int) -> None:
@@ -255,7 +241,6 @@ class Topology:
         self._adj[link.b][link.a].discard(link_id)
         if not self._adj[link.b][link.a]:
             del self._adj[link.b][link.a]
-        self._state_rev += 1
 
     # ------------------------------------------------------------------
     # lookup
@@ -318,19 +303,15 @@ class Topology:
 
     def fail_node(self, name: str) -> None:
         self.nodes[name].up = False
-        self._state_rev += 1
 
     def restore_node(self, name: str) -> None:
         self.nodes[name].up = True
-        self._state_rev += 1
 
     def fail_link(self, link_id: int) -> None:
         self.links[link_id].up = False
-        self._state_rev += 1
 
     def restore_link(self, link_id: int) -> None:
         self.links[link_id].up = True
-        self._state_rev += 1
 
     def node_is_up(self, name: str) -> bool:
         return self.nodes[name].up
@@ -352,12 +333,16 @@ class Topology:
                 if link.up:
                     yield other, link
 
-    def operational_links_between(self, a: str, b: str) -> list[Link]:
-        return [
-            link
-            for link in self.links_between(a, b)
-            if self.link_is_operational(link.link_id)
-        ]
+    def hop_is_operational(self, a: str, b: str) -> bool:
+        """True when both endpoints are up and some link between them is."""
+        nodes = self.nodes
+        if not (nodes[a].up and nodes[b].up):
+            return False
+        links = self.links
+        for link_id in self._adj[a].get(b, ()):
+            if links[link_id].up:
+                return True
+        return False
 
     def failed_nodes(self) -> list[str]:
         return sorted(n.name for n in self.nodes.values() if not n.up)
@@ -371,7 +356,6 @@ class Topology:
             node.up = True
         for link in self.links.values():
             link.up = True
-        self._state_rev += 1
 
     # ------------------------------------------------------------------
     # interop & utilities
@@ -393,35 +377,12 @@ class Topology:
                 graph.add_edge(link.a, link.b, key=link.link_id, capacity=link.capacity)
         return graph
 
-    def path_links(self, node_path: Iterable[str]) -> list[Link]:
-        """Resolve a node sequence into concrete links.
-
-        When parallel links exist, the first operational one is used; if
-        none is operational the first link is returned (the caller decides
-        how to treat a dead path).
-        """
-        nodes = list(node_path)
-        links: list[Link] = []
-        for a, b in zip(nodes, nodes[1:]):
-            candidates = self.links_between(a, b)
-            if not candidates:
-                raise TopologyError(f"no link between {a!r} and {b!r}")
-            chosen = next(
-                (l for l in candidates if self.link_is_operational(l.link_id)),
-                candidates[0],
-            )
-            links.append(chosen)
-        return links
-
     def path_is_operational(self, node_path: Iterable[str]) -> bool:
         """True when every hop of ``node_path`` has an operational link."""
         nodes = list(node_path)
         if any(not self.nodes[n].up for n in nodes):
             return False
-        for a, b in zip(nodes, nodes[1:]):
-            if not self.operational_links_between(a, b):
-                return False
-        return True
+        return all(self.hop_is_operational(a, b) for a, b in zip(nodes, nodes[1:]))
 
     def __repr__(self) -> str:
         return (

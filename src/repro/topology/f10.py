@@ -46,25 +46,6 @@ class F10Tree(FatTree):
             name=name or f"f10-k{k}",
         )
 
-    # The builder in FatTree wires agg→core through core_of(); overriding
-    # it is all the AB construction needs.  Pod type is determined at wire
-    # time via _current_pod, set by _add_pod.
-
-    def _add_pod(self, pod: int) -> None:
-        self._current_pod = pod
-        try:
-            super()._add_pod(pod)
-        finally:
-            del self._current_pod
-
-    def core_of(self, agg_index: int, port: int) -> int:
-        pod = getattr(self, "_current_pod", None)
-        if pod is None:
-            raise RuntimeError(
-                "F10Tree.core_of is wiring-time only; use core_of_pod for lookups"
-            )
-        return self.core_of_pod(pod, agg_index, port)
-
     # ------------------------------------------------------------------
     # pod-type aware structural accessors
     # ------------------------------------------------------------------

@@ -135,12 +135,12 @@ class FatTree(Topology):
         for e in range(self.half):
             for a in range(self.half):
                 self.add_link(edge_name(pod, e), agg_name(pod, a), self.link_capacity)
-        # Aggregation--core: agg i owns core row i.
+        # Aggregation--core, as core_of_pod wires it.
         for a in range(self.half):
             for j in range(self.half):
                 self.add_link(
                     agg_name(pod, a),
-                    core_name(self.core_of(a, j)),
+                    core_name(self.core_of_pod(pod, a, j)),
                     self.link_capacity,
                 )
 
@@ -160,17 +160,21 @@ class FatTree(Topology):
     # structural accessors used throughout the reproduction
     # ------------------------------------------------------------------
 
-    def core_of(self, agg_index: int, port: int) -> int:
-        """Global index of the core on ``port`` of aggregation switch ``agg_index``.
+    def core_of_pod(self, pod: int, agg_index: int, port: int) -> int:
+        """Global index of the core on ``port`` of aggregation ``agg_index``
+        in ``pod``.
 
         Standard fat-tree wiring: row ``agg_index`` of the ``k/2 × k/2``
-        core grid.  Subclasses (F10's AB fat-tree) override this.
+        core grid in every pod.  This and :meth:`agg_of_core` are the only
+        encodings of agg→core wiring: the builder, the path model and the
+        routing tables all derive from them, so a subclass with other
+        wiring (F10, Aspen) overrides only these.
         """
         return agg_index * self.half + port
 
     def agg_of_core(self, core_index: int, pod: int) -> int:
         """In-pod index of the aggregation switch that core ``core_index``
-        connects to inside ``pod``.  Inverse of :meth:`core_of`."""
+        connects to inside ``pod``.  Inverse of :meth:`core_of_pod`."""
         return core_index // self.half
 
     def edge_switches(self, pod: int) -> list[str]:

@@ -148,6 +148,6 @@ class OneToOneBackupTree(Topology):
                 return False
             physical.append(inst)
         for a, b in zip(physical, physical[1:]):
-            if not self.operational_links_between(a, b):
+            if not self.hop_is_operational(a, b):
                 return False
         return True

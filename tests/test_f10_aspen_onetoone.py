@@ -6,6 +6,7 @@ import pytest
 from repro.topology import (
     AspenTree,
     F10Tree,
+    FatTree,
     NodeKind,
     OneToOneBackupTree,
     is_shadow,
@@ -47,15 +48,13 @@ class TestF10:
         assert len(a_parents & b_parents) == 1
 
     def test_agg_of_core_inverse(self, f10_6):
-        for pod in range(6):
-            for a in range(3):
-                for port in range(3):
-                    core = f10_6.core_of_pod(pod, a, port)
-                    assert f10_6.agg_of_core(core, pod) == a
-
-    def test_core_of_requires_wiring_context(self, f10_6):
-        with pytest.raises(RuntimeError):
-            f10_6.core_of(0, 0)
+        for tree in (f10_6, FatTree(6), AspenTree(8)):
+            for pod in range(tree.k):
+                for a in range(tree.half):
+                    for port in range(tree.half):
+                        core = tree.core_of_pod(pod, a, port)
+                        assert tree.agg_of_core(core, pod) == a
+                        assert tree.links_between(f"A.{pod}.{a}", f"C.{core}")
 
 
 class TestAspen:
@@ -87,7 +86,9 @@ class TestAspen:
         t = AspenTree(8)
         pair = t.links_between("A.0.0", "C.0")
         t.fail_link(pair[0].link_id)
-        assert t.operational_links_between("A.0.0", "C.0")
+        assert t.hop_is_operational("A.0.0", "C.0")
+        t.fail_link(pair[1].link_id)
+        assert not t.hop_is_operational("A.0.0", "C.0")
 
     def test_duplicated_cores_listing(self):
         t = AspenTree(8)

@@ -105,16 +105,6 @@ class TestAccessors:
         assert len(t.nodes_of_kind(NodeKind.EDGE)) == 2
         assert len(t.nodes_of_kind(NodeKind.EDGE, include_backup=False)) == 1
 
-    def test_path_links_resolution(self):
-        t = tiny()
-        links = t.path_links(["h1", "e1", "h2"])
-        assert len(links) == 2
-
-    def test_path_links_missing_hop(self):
-        t = tiny()
-        with pytest.raises(TopologyError):
-            t.path_links(["h1", "h2"])
-
 
 class TestFailureState:
     def test_fail_restore_node(self):
@@ -162,8 +152,13 @@ class TestFailureState:
         extra = t.add_link("h1", "e1")
         first = t.links_between("h1", "e1")[0]
         t.fail_link(first.link_id)
-        ops = t.operational_links_between("h1", "e1")
-        assert [l.link_id for l in ops] == [extra.link_id]
+        assert t.hop_is_operational("h1", "e1")  # the parallel link survives
+        t.fail_link(extra.link_id)
+        assert not t.hop_is_operational("h1", "e1")
+        t.restore_link(extra.link_id)
+        t.fail_node("e1")
+        assert not t.hop_is_operational("h1", "e1")
+        assert not t.hop_is_operational("h1", "h2")  # no link at all
 
     def test_failed_inventories(self):
         t = tiny()
