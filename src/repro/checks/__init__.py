@@ -47,8 +47,6 @@ model design, and the cache/SARIF workflow.
 from __future__ import annotations
 
 from .cache import CHECKS_REV, CacheStats, LintCache, checks_rev
-from .cfg import ControlFlowGraph, build_cfg
-from .concurrency import ConcurrencySummary, InterferenceEngine
 from .context import FileContext, category_for, module_name_for
 from .diagnostics import Diagnostic
 from .engine import (
@@ -78,7 +76,6 @@ from .sarif import render_json, render_sarif
 
 # Importing the rule modules registers every shipped rule.
 from .rules import (  # noqa: F401
-    concurrency,
     controlplane,
     determinism,
     exceptions,
@@ -91,12 +88,9 @@ from .rules import (  # noqa: F401
 __all__ = [
     "CHECKS_REV",
     "CacheStats",
-    "ConcurrencySummary",
-    "ControlFlowGraph",
     "DEFAULT_TARGETS",
     "Diagnostic",
     "FileContext",
-    "InterferenceEngine",
     "LintCache",
     "LintResult",
     "LintStats",
@@ -106,7 +100,6 @@ __all__ = [
     "SYNTAX_ERROR_CODE",
     "all_rule_codes",
     "all_rules",
-    "build_cfg",
     "category_for",
     "changed_source_files",
     "check_file",

@@ -41,7 +41,7 @@ __all__ = ["CHECKS_REV", "checks_rev", "LintCache", "CacheStats", "CachedFile"]
 
 #: Manual revision token — bump when rule logic changes in a way the
 #: registered-code list does not capture.
-CHECKS_REV = "2026.08-4"
+CHECKS_REV = "2026.10-1"
 
 #: Cache file-format version (breaking layout changes only).
 _FORMAT = 1

@@ -32,12 +32,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .concurrency import (
-    ConcurrencySummary,
-    analyze_function,
-    lock_attribute_names,
-    module_global_names,
-)
 from .context import FileContext
 from .rules.controlplane import _ALWAYS_FLAGGED, _CS_ONLY_FLAGGED, _looks_like_cs
 from .rules.process import _non_json_nodes, _payload_expressions
@@ -185,9 +179,6 @@ class FunctionSummary:
     payload_sites: tuple[PayloadSite, ...]
     mutated_params: tuple[str, ...]
     mutates_circuit: bool
-    is_async: bool = False
-    #: Present only for ``async def`` — the concurrency-rule facts.
-    concurrency: ConcurrencySummary | None = None
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -206,16 +197,11 @@ class FunctionSummary:
             "payload_sites": [p.to_json() for p in self.payload_sites],
             "mutated_params": list(self.mutated_params),
             "mutates_circuit": self.mutates_circuit,
-            "is_async": self.is_async,
-            "concurrency": (
-                None if self.concurrency is None else self.concurrency.to_json()
-            ),
         }
 
     @classmethod
     def from_json(cls, data: dict[str, object]) -> "FunctionSummary":
         raw_cls = data["cls"]
-        raw_concurrency = data.get("concurrency")
         return cls(
             qualname=str(data["qualname"]),
             cls=None if raw_cls is None else str(raw_cls),
@@ -246,12 +232,6 @@ class FunctionSummary:
                 str(p) for p in _l(data["mutated_params"])
             ),
             mutates_circuit=bool(data["mutates_circuit"]),
-            is_async=bool(data.get("is_async", False)),
-            concurrency=(
-                None
-                if raw_concurrency is None
-                else ConcurrencySummary.from_json(_d(raw_concurrency))
-            ),
         )
 
 
@@ -579,34 +559,19 @@ def _collect_refs(tree: ast.Module) -> set[str]:
 
 
 def _summarize_functions(ctx: FileContext) -> Iterator[FunctionSummary]:
-    module_globals = module_global_names(ctx.tree)
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield _summarize_function(
-                ctx,
-                stmt,
-                cls=None,
-                module_globals=module_globals,
-            )
+            yield _summarize_function(ctx, stmt, cls=None)
         elif isinstance(stmt, ast.ClassDef):
-            lock_names = lock_attribute_names(stmt, ctx.resolve)
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield _summarize_function(
-                        ctx,
-                        member,
-                        cls=stmt.name,
-                        module_globals=module_globals,
-                        lock_names=lock_names,
-                    )
+                    yield _summarize_function(ctx, member, cls=stmt.name)
 
 
 def _summarize_function(
     ctx: FileContext,
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     cls: str | None,
-    module_globals: frozenset[str] = frozenset(),
-    lock_names: frozenset[str] = frozenset(),
 ) -> FunctionSummary:
     params = tuple(
         arg.arg
@@ -681,14 +646,6 @@ def _summarize_function(
             )
 
     dunder = fn.name.startswith("__") and fn.name.endswith("__")
-    is_async = isinstance(fn, ast.AsyncFunctionDef)
-    concurrency = (
-        analyze_function(
-            ctx, fn, module_globals=module_globals, lock_names=lock_names
-        )
-        if isinstance(fn, ast.AsyncFunctionDef)
-        else None
-    )
     return FunctionSummary(
         qualname=f"{cls}.{fn.name}" if cls else fn.name,
         cls=cls,
@@ -705,8 +662,6 @@ def _summarize_function(
         payload_sites=tuple(payload_sites),
         mutated_params=tuple(sorted(mutated)),
         mutates_circuit=mutates_circuit,
-        is_async=is_async,
-        concurrency=concurrency,
     )
 
 

@@ -15,10 +15,6 @@
   recovery service: no blocking calls inside ``repro.service``
   coroutines (SVC001); controller commits and cluster mutation flow
   through the WAL/federation seams (SVC014);
-* :mod:`.concurrency` — interleaving discipline over the whole-program
-  interference engine: await-interference on shared state (SVC010),
-  fire-and-forget tasks (SVC011), lock discipline (SVC012), coroutine
-  mutation of module globals (SVC013);
 * :mod:`.interproc` — whole-program rules over the linked project
   model: transitive seed taint (RNG010), payload reachability
   (PROC010), helper circuit mutation (CHS010), import cycles (IMP001),
@@ -33,7 +29,6 @@ rules — which is exactly what DEAD001 checks for.
 from __future__ import annotations
 
 from . import (
-    concurrency,
     controlplane,
     determinism,
     exceptions,
@@ -45,7 +40,6 @@ from . import (
 )
 
 __all__ = [
-    "concurrency",
     "controlplane",
     "determinism",
     "exceptions",

@@ -25,12 +25,52 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from ..cfg import blocking_call_reason
 from ..context import FileContext
 from ..diagnostics import Diagnostic
 from ..registry import Rule, register
 
 __all__ = ["BlockingCallInCoroutine", "UnsanctionedFederationMutation"]
+
+#: Import-resolvable calls that block the calling thread.
+BLOCKING_CALLS = frozenset(
+    {
+        "time.sleep",
+        "os.system", "os.wait", "os.waitpid",
+        "subprocess.run", "subprocess.call", "subprocess.check_call",
+        "subprocess.check_output", "subprocess.Popen",
+        "socket.create_connection", "socket.getaddrinfo",
+        "urllib.request.urlopen",
+        "http.client.HTTPConnection", "http.client.HTTPSConnection",
+    }
+)
+
+#: Builtins that block on the terminal or filesystem.
+BLOCKING_BUILTINS = frozenset({"open", "input"})
+
+#: Method names that are synchronous filesystem I/O wherever they appear
+#: (the ``pathlib.Path`` read/write family).
+BLOCKING_METHODS = frozenset(
+    {"read_text", "write_text", "read_bytes", "write_bytes"}
+)
+
+
+def blocking_call_reason(ctx: FileContext, node: ast.Call) -> str | None:
+    """Why ``node`` blocks the event-loop thread, ``None`` if it doesn't."""
+    resolved = ctx.resolve(node.func)
+    if resolved in BLOCKING_CALLS:
+        return f"call to {resolved}()"
+    if (
+        isinstance(node.func, ast.Name)
+        and node.func.id in BLOCKING_BUILTINS
+        and resolved is None  # not an import-shadowed name
+    ):
+        return f"call to builtin {node.func.id}()"
+    if (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr in BLOCKING_METHODS
+    ):
+        return f"synchronous file I/O via .{node.func.attr}()"
+    return None
 
 
 @register
@@ -55,7 +95,7 @@ class BlockingCallInCoroutine(Rule):
             for node in ast.walk(outer):
                 if not isinstance(node, ast.Call) or id(node) in reported:
                     continue
-                offence = self._blocking_call(ctx, node)
+                offence = blocking_call_reason(ctx, node)
                 if offence is not None:
                     reported.add(id(node))
                     yield self.diagnostic(
@@ -65,10 +105,6 @@ class BlockingCallInCoroutine(Rule):
                         "the shared event loop; await the service clock "
                         "(clock.sleep) or use asyncio I/O instead",
                     )
-
-    @staticmethod
-    def _blocking_call(ctx: FileContext, node: ast.Call) -> str | None:
-        return blocking_call_reason(ctx.resolve, node)
 
 
 #: Controller commit entry points; inside repro.service they are only

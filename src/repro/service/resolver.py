@@ -257,7 +257,18 @@ class FailureGroupResolver:
         # Replaying over an existing WAL resumes the sequence spaces
         # where the previous incarnation left them, so resumed work
         # reuses its original keys instead of minting colliding ones.
-        self._seq = len(wal.committed_keys()) if wal is not None else 0
+        # Error tombstones are commits that never took a decision seq.
+        self._seq = (
+            len(
+                {
+                    record.key
+                    for record in wal.records
+                    if record.type == "commit" and "error" not in record.data
+                }
+            )
+            if wal is not None
+            else 0
+        )
         self._group_seq: dict[str, int] = (
             wal.next_seqs() if wal is not None else {}
         )

@@ -12,6 +12,8 @@ Three layers:
 """
 
 import ast
+import shutil
+import subprocess
 from pathlib import Path
 from textwrap import dedent
 
@@ -26,9 +28,12 @@ from repro.checks import (
     check_source,
     get_rule,
     iter_source_files,
+    lint_paths,
     module_name_for,
     project_rules,
 )
+from repro.checks.context import FileContext
+from repro.checks.engine import changed_source_files
 from repro.cli import main
 
 SRC = Path(repro.__file__).parent
@@ -43,10 +48,7 @@ EXPECTED_CODES = {
     "SVC001", "SVC014",
 }
 
-PROJECT_CODES = {
-    "RNG010", "PROC010", "CHS010", "IMP001", "DEAD001",
-    "SVC010", "SVC011", "SVC012", "SVC013",
-}
+PROJECT_CODES = {"RNG010", "PROC010", "CHS010", "IMP001", "DEAD001"}
 
 
 def codes(diagnostics):
@@ -1011,3 +1013,136 @@ class TestCli:
         for code in EXPECTED_CODES | PROJECT_CODES:
             assert code in out
         assert "[whole-program]" in out
+
+
+# ----------------------------------------------------------------------
+# project-rule findings through the cached pipeline
+# ----------------------------------------------------------------------
+
+#: An RNG010 finding: ``sample`` reaches an unseeded draw in another
+#: module, which only the whole-program pass can see.
+TAINTED = {
+    "src/repro/util.py": (
+        "from repro.rng import ensure_rng\n"
+        "def _fresh():\n"
+        "    return ensure_rng(None)\n"
+    ),
+    "src/repro/api.py": (
+        "from repro.util import _fresh\n"
+        "def sample(n):\n"
+        "    return [_fresh().random() for _ in range(n)]\n"
+    ),
+}
+
+
+def _repo_with(tmp_path, files):
+    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
+    for rel_path, source in files.items():
+        target = tmp_path / rel_path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source, encoding="utf-8")
+
+
+class TestProjectPipeline:
+    def test_noqa_audits_a_finding(self, tmp_path):
+        _repo_with(tmp_path, TAINTED)
+        result = lint_paths([tmp_path / "src"], cache_dir=tmp_path / "c")
+        assert [d.code for d in result.diagnostics] == ["RNG010"]
+        audited = dict(TAINTED)
+        audited["src/repro/api.py"] = audited["src/repro/api.py"].replace(
+            "def sample(n):", "def sample(n):  # repro: noqa[RNG010]"
+        )
+        _repo_with(tmp_path, audited)
+        result = lint_paths([tmp_path / "src"], cache_dir=tmp_path / "c")
+        assert result.diagnostics == []
+
+    def test_warm_run_replays_project_facts_without_parsing(
+        self, tmp_path, monkeypatch
+    ):
+        _repo_with(tmp_path, TAINTED)
+        cold = lint_paths([tmp_path / "src"], cache_dir=tmp_path / "c")
+        assert [d.code for d in cold.diagnostics] == ["RNG010"]
+
+        def exploding(*args, **kwargs):
+            raise AssertionError("warm lint run must not parse")
+
+        monkeypatch.setattr(FileContext, "from_source", exploding)
+        warm = lint_paths([tmp_path / "src"], cache_dir=tmp_path / "c")
+        assert warm.stats.parsed_files == 0
+        assert warm.diagnostics == cold.diagnostics
+
+
+# ----------------------------------------------------------------------
+# repro lint --changed
+# ----------------------------------------------------------------------
+
+needs_git = pytest.mark.skipif(
+    shutil.which("git") is None, reason="git not installed"
+)
+
+
+def _git(cwd, *args):
+    subprocess.run(
+        ["git", "-c", "user.email=t@e.st", "-c", "user.name=t", *args],
+        cwd=cwd,
+        check=True,
+        capture_output=True,
+    )
+
+
+def _git_repo(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("[project]\nname = 'x'\n")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "committed.py").write_text("import random\nV = random.random()\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-qm", "seed")
+    return src
+
+
+@needs_git
+class TestLintChanged:
+    def test_changed_source_files_sees_modified_and_untracked(self, tmp_path):
+        src = _git_repo(tmp_path)
+        assert changed_source_files(tmp_path) == []
+        (src / "committed.py").write_text("def quiet():\n    return 1\n")
+        (src / "fresh.py").write_text("def f():\n    return 2\n")
+        (src / "notes.txt").write_text("not python\n")
+        changed = {p.name for p in changed_source_files(tmp_path)}
+        assert changed == {"committed.py", "fresh.py"}
+
+    def test_changed_raises_outside_a_work_tree(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            changed_source_files(tmp_path)
+
+    def test_cli_changed_scopes_to_modified_files(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        src = _git_repo(tmp_path)
+        # committed.py keeps its RNG001; the new file carries its own.
+        (src / "fresh.py").write_text("import random\nW = random.random()\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--changed", "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "fresh.py" in out
+        assert "committed.py" not in out  # unchanged → out of scope
+
+    def test_cli_changed_clean_tree_exits_zero(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        _git_repo(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--changed", "--no-cache"]) == 0
+        assert "no changed Python files" in capsys.readouterr().out
+
+    def test_cli_changed_rejects_explicit_paths(self, tmp_path, monkeypatch):
+        _git_repo(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--changed", "src"]) == 2
+
+    def test_cli_changed_outside_work_tree_is_usage_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["lint", "--changed"]) == 2

@@ -12,12 +12,21 @@ Three layers:
   stakes its no-duplicate-decisions guarantee on.
 """
 
+import asyncio
 import json
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.core.controller import ControllerCluster, ShareBackupController
+from repro.core.sharebackup import ShareBackupNetwork
+from repro.service import (
+    FailureReport,
+    RecoveryService,
+    ServiceConfig,
+    VirtualClock,
+)
 from repro.service.wal import (
     DecisionWAL,
     WalCorruptionError,
@@ -195,6 +204,80 @@ class TestRecovery:
             assert not reopened.append_intent("g", 0, 2, {"p": 2})
         with DecisionWAL(path) as third:
             assert third.stats()["records"] == 2  # nothing was re-appended
+
+
+# ----------------------------------------------------------------------
+# crash consistency at every byte offset
+# ----------------------------------------------------------------------
+
+
+async def _record_service_wal(path):
+    """A service run that logs every record kind: two intents in one
+    group, a decision, a fence from a mid-batch primary crash, the
+    fenced member's decision under the new epoch, and a tombstone for
+    a commit the halted controller refuses."""
+    controller = ShareBackupController(ShareBackupNetwork(4, 1))
+    clock = VirtualClock()
+    service = RecoveryService(
+        controller,
+        clock=clock,
+        config=ServiceConfig(scan_interval=3600.0),
+        cluster=ControllerCluster(controller=controller),
+        wal=DecisionWAL(path),
+    )
+    await service.start()
+    service.federation.arm_primary_crash(1)
+    for slot in ("A.0.0", "A.0.1"):
+        service.submit_failure(FailureReport("node", logical=slot))
+    await clock.run_until(1.0)
+    controller.halted = True
+    service.submit_failure(FailureReport("node", logical="E.1.0"))
+    await clock.run_until(2.0)
+    await service.stop()
+    service.wal.close()
+
+
+@pytest.fixture(scope="module")
+def recorded_wal(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wal") / "recorded.wal"
+    asyncio.run(_record_service_wal(path))
+    with DecisionWAL(path) as wal:
+        records = wal.records
+    tombstones = [r for r in records if r.type == "commit" and "error" in r.data]
+    assert {r.type for r in records} == {"intent", "commit", "fence"}
+    assert len(tombstones) == 1
+    return path.read_bytes(), records
+
+
+def _reopened_records(path, raw):
+    path.write_bytes(raw)
+    with DecisionWAL(path) as wal:
+        return wal.records
+
+
+def test_every_truncation_recovers_a_prefix(recorded_wal, tmp_path):
+    raw, records = recorded_wal
+    path = tmp_path / "cut.wal"
+    for offset in range(len(raw) + 1):
+        got = _reopened_records(path, raw[:offset])
+        assert got == records[: len(got)], offset
+    assert got == records
+
+
+def test_every_bit_flip_is_corruption_or_a_prefix(recorded_wal, tmp_path):
+    raw, records = recorded_wal
+    path = tmp_path / "flipped.wal"
+    corrupt = 0
+    for offset in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 1 << (offset % 8)
+        try:
+            got = _reopened_records(path, bytes(flipped))
+        except WalCorruptionError:
+            corrupt += 1
+            continue
+        assert got == records[: len(got)] and len(got) < len(records), offset
+    assert corrupt > 0
 
 
 # ----------------------------------------------------------------------
